@@ -27,6 +27,10 @@
 //! [`ProtoMutation`] seeds the historical bug classes: publishing the
 //! child before counting it, replacing the visited CAS with a plain
 //! store, and stealing by copy instead of by transfer.
+//!
+//! [`ProtoScenario::with_unclaimed`] leaves workers that never start,
+//! standing for gang slots no helper claimed: the engines must still
+//! terminate, with every oracle intact, on the workers that do run.
 
 use crate::explore::{ActorId, Model, Violation};
 
@@ -66,6 +70,10 @@ pub struct ProtoScenario {
     pub steal_cutoff: usize,
     /// The seeded bug, or `None` for the faithful protocol.
     pub mutation: Option<ProtoMutation>,
+    /// How many of the highest-numbered workers never start (gang slots
+    /// no helper claimed). Worker 0 — the caller, seeded with the root —
+    /// always runs.
+    pub unclaimed: usize,
 }
 
 impl ProtoScenario {
@@ -76,6 +84,7 @@ impl ProtoScenario {
             workers,
             steal_cutoff: 1,
             mutation: None,
+            unclaimed: 0,
         }
     }
 
@@ -87,6 +96,7 @@ impl ProtoScenario {
             workers,
             steal_cutoff: 1,
             mutation: None,
+            unclaimed: 0,
         }
     }
 
@@ -99,7 +109,14 @@ impl ProtoScenario {
             workers,
             steal_cutoff: 1,
             mutation: None,
+            unclaimed: 0,
         }
+    }
+
+    /// Same scenario with the last `k` workers never starting.
+    pub fn with_unclaimed(mut self, k: usize) -> Self {
+        self.unclaimed = k;
+        self
     }
 
     /// Same scenario with a seeded bug.
@@ -211,12 +228,28 @@ impl Model for ProtoModel {
         discoveries[0] = 1;
         let mut stacks = vec![Vec::new(); self.scenario.workers];
         stacks[0].push((0u32, 0u32));
+        // An unclaimed slot never runs a step: it starts out exited, with
+        // the empty stack it would have had.
+        let started = self
+            .scenario
+            .workers
+            .saturating_sub(self.scenario.unclaimed)
+            .max(1);
+        let workers = (0..self.scenario.workers)
+            .map(|w| {
+                if w < started {
+                    WorkerPc::Top
+                } else {
+                    WorkerPc::Exit
+                }
+            })
+            .collect();
         ProtoState {
             visited,
             live: 1,
             done: false,
             stacks,
-            workers: vec![WorkerPc::Top; self.scenario.workers],
+            workers,
             discoveries,
         }
     }

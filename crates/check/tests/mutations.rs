@@ -97,3 +97,48 @@ fn three_worker_handshake_still_passes() {
     let outcome = explorer().run(&ProtoModel::new(ProtoScenario::star4(3)));
     assert!(outcome.passed(), "{outcome:?}");
 }
+
+#[test]
+fn unclaimed_slot_keeps_every_oracle_and_mutation_check() {
+    // Three workers, the third never starting: the schedule where no
+    // helper claimed a gang slot. The faithful handshake still passes on
+    // every shape, and each seeded bug is still caught and replayable.
+    let shapes = [
+        ProtoScenario::path4(3).with_unclaimed(1),
+        ProtoScenario::star4(3).with_unclaimed(1),
+        ProtoScenario::diamond4(3).with_unclaimed(1),
+    ];
+    for sc in &shapes {
+        let outcome = explorer().run(&ProtoModel::new(sc.clone()));
+        assert!(outcome.passed(), "faithful {sc:?} failed: {outcome:?}");
+    }
+    let cases = [
+        (ProtoMutation::PublishBeforeLive, &shapes[0]),
+        (ProtoMutation::StealDuplicates, &shapes[1]),
+        (ProtoMutation::SkipVisitedCas, &shapes[2]),
+    ];
+    assert_eq!(cases.len(), ProtoMutation::ALL.len());
+    for (m, sc) in cases {
+        let model = ProtoModel::new(sc.clone().with_mutation(m));
+        match explorer().run(&model) {
+            Outcome::Fail {
+                violation,
+                schedule,
+                ..
+            } => {
+                let replayed =
+                    replay(&model, &schedule).expect_err("replay of a counterexample must fail");
+                assert_eq!(replayed.oracle, violation.oracle, "{m:?}: replay diverged");
+            }
+            other => panic!("mutation {m:?} escaped with an unclaimed slot: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn caller_alone_finishes_the_handshake() {
+    // Every helper slot unclaimed: worker 0 must drain the graph itself.
+    let outcome = explorer().run(&ProtoModel::new(ProtoScenario::star4(3).with_unclaimed(2)));
+    assert!(outcome.passed(), "{outcome:?}");
+    assert!(outcome.stats().final_states > 0);
+}

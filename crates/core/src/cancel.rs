@@ -1,13 +1,14 @@
 //! Cooperative cancellation for engine runs.
 //!
-//! The engines' worker loops are long-running and, once launched, own
-//! their OS threads until the traversal drains. A service layer that
-//! enforces per-request deadlines needs a way to stop a traversal
-//! mid-flight without killing threads: every worker polls a shared
-//! [`CancelToken`] at the top of its loop (one poll per vertex-expansion
-//! step — the "poll point"), and the first worker that observes a
-//! cancelled token raises the engine's global `done` flag so the whole
-//! thread group exits within one step.
+//! The engines' worker loops are long-running and, once launched, hold
+//! the caller's thread and any [`crate::gang`] helpers running their
+//! warps until the traversal drains. A service layer that enforces
+//! per-request deadlines needs a way to stop a traversal mid-flight
+//! without killing threads: every worker polls a shared [`CancelToken`]
+//! at the top of its loop (one poll per vertex-expansion step — the
+//! "poll point"), and the first worker that observes a cancelled token
+//! raises the engine's global `done` flag so every participant exits
+//! within one step.
 //!
 //! Cancellation is *cooperative and partial*: a cancelled run returns a
 //! [`crate::native::NativeResult`] with `completed == false` whose

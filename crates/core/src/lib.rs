@@ -14,9 +14,10 @@
 //!   discrete-event core of `db-gpu-sim`, and performance is reported in
 //!   simulated cycles / MTEPS under a machine model (A100/H100 presets).
 //! * [`native`] — a real multithreaded engine for library users: the
-//!   same two-level structure and stealing hierarchy mapped onto OS
-//!   threads ("warps") grouped into thread groups ("blocks"), with
-//!   per-ring locks standing in for the GPU's `atomicCAS` ring protocol.
+//!   same two-level structure and stealing hierarchy over logical
+//!   "warps" grouped into "blocks", with per-ring locks standing in for
+//!   the GPU's `atomicCAS` ring protocol. The warps are run by at most
+//!   as many participants as the host has cores (see [`gang`]).
 //! * [`native_lockfree`] — the same engine on the GPU-faithful lock-free
 //!   ring protocol ([`lockfree::StampedRing`]): packed head/tail CAS
 //!   claims plus per-slot stamps for safe payload transfer.
@@ -31,11 +32,15 @@
 //! * [`cancel`] — cooperative cancellation tokens polled by the native
 //!   engines' worker loops, so a service layer can enforce per-request
 //!   deadlines without killing threads.
+//! * [`gang`] — the process-wide helper threads that run the parallel
+//!   engines' logical warps and partitions: the caller runs slot 0 and
+//!   idle helpers claim the rest, so no request spawns a thread.
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod config;
+pub mod gang;
 pub mod graph_check;
 pub mod lockfree;
 pub mod native;

@@ -1,10 +1,15 @@
 //! The native multithreaded DiggerBees engine.
 //!
 //! This is the *library* form of the algorithm: the same two-level
-//! stacks and hierarchical stealing as [`crate::sim`], mapped onto OS
-//! threads. Each "warp" is a worker thread; warps are grouped into
-//! "blocks" (thread groups) that share the intra-block stealing domain,
-//! and blocks steal from each other exactly as in Algorithm 4.
+//! stacks and hierarchical stealing as [`crate::sim`], on CPU cores.
+//! Each "warp" is a logical worker with its own HotRing and ColdSeg;
+//! warps are grouped into "blocks" that share the intra-block stealing
+//! domain, and blocks steal from each other exactly as in Algorithm 4.
+//! The warps are the slots of one [`crate::gang`] job: the calling
+//! thread runs warp 0 and idle helper threads run further warps, so at
+//! most as many warps execute as the host has cores. A warp nobody runs
+//! keeps empty stacks — work enters a ring only through its own warp —
+//! so warp 0 alone can finish any traversal.
 //!
 //! Concurrency design (DESIGN.md §1): the GPU kernel coordinates ring
 //! ends with `atomicCAS` on `tail`/`bottom`; here each HotRing and
@@ -57,11 +62,13 @@ impl<T: Tracer> TraceCtx<'_, T> {
 }
 
 /// Configuration for the native engine: the algorithm parameters plus
-/// nothing else — thread count is `blocks × warps_per_block`.
+/// nothing else. `blocks × warps_per_block` is the number of logical
+/// warps — the stealing topology — not a thread count: the warps run on
+/// the caller plus whichever [`crate::gang`] helpers are idle.
 #[derive(Debug, Clone, Copy)]
 pub struct NativeConfig {
     /// Algorithm parameters. Defaults scale the block geometry down to
-    /// CPU-appropriate sizes (4 blocks × 2 warps = 8 threads).
+    /// CPU-appropriate sizes (4 blocks × 2 warps = 8 logical warps).
     pub algo: DiggerBeesConfig,
 }
 
@@ -138,8 +145,8 @@ struct Shared<'g> {
     cas_failures: AtomicU64,
     edges: AtomicU64,
     vertices: AtomicU64,
-    /// High-water marks across all rings/segments (fetch_max updated
-    /// wherever a stack grows).
+    /// High-water marks across all rings/segments, merged from each
+    /// warp's [`Tally`] when it exits.
     hot_hw: AtomicU64,
     cold_hw: AtomicU64,
 }
@@ -157,6 +164,17 @@ impl<'g> Shared<'g> {
             .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
     }
+}
+
+/// Per-warp statistics, kept off the shared cache lines while the warp
+/// runs and merged into [`Shared`] once when it exits.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) edges: u64,
+    pub(crate) vertices: u64,
+    pub(crate) tasks: u64,
+    pub(crate) hot_hw: u64,
+    pub(crate) cold_hw: u64,
 }
 
 /// The DiggerBees native engine.
@@ -213,7 +231,7 @@ impl NativeEngine {
     /// Like [`NativeEngine::run`], recording events into `tracer`.
     ///
     /// Event timestamps are nanoseconds since kernel start; block/warp
-    /// provenance maps worker thread `w` to block `w / warps_per_block`,
+    /// provenance maps logical warp `w` to block `w / warps_per_block`,
     /// lane `w % warps_per_block`. With [`NullTracer`] this compiles to
     /// exactly [`NativeEngine::run`].
     pub fn run_traced<T: Tracer>(&self, g: &CsrGraph, root: VertexId, tracer: &T) -> NativeResult {
@@ -267,7 +285,7 @@ impl NativeEngine {
 
         // Seed the root into warp 0.
         shared.visited[root as usize].store(1, Ordering::Release);
-        // relaxed-ok: stats counters seeded before any worker spawns
+        // relaxed-ok: stats counters seeded before the gang job starts
         shared.vertices.store(1, Ordering::Relaxed);
         shared.tasks_per_block[0].store(1, Ordering::Relaxed);
         shared.live.store(1, Ordering::Release);
@@ -290,15 +308,15 @@ impl NativeEngine {
             },
         );
         tc.emit(0, 0, EventKind::Push { vertex: root });
-        crossbeam::scope(|scope| {
-            for w in 0..nw {
-                let shared = &shared;
-                let tc = &tc;
-                let poller = cancel.map(CancelToken::poller);
-                scope.spawn(move |_| worker(shared, w, w == 0, tc, poller));
-            }
-        })
-        .expect("worker panicked");
+        crate::gang::run(nw as usize, &|w| {
+            worker(
+                &shared,
+                w as u32,
+                w == 0,
+                &tc,
+                cancel.map(CancelToken::poller),
+            )
+        });
         let wall = start.elapsed();
         tc.emit(
             0,
@@ -311,22 +329,22 @@ impl NativeEngine {
         let completed = !shared.cancelled.load(Ordering::Acquire);
         debug_assert!(!completed || shared.live.load(Ordering::SeqCst) == 0);
         let mut stats = SimStats::new(cfg.blocks as usize);
-        // relaxed-ok: stats snapshot after every worker has joined; the
-        // scope join is the synchronization point (also the next 10 loads)
+        // relaxed-ok: stats snapshot after gang::run returned; its
+        // completion wait is the synchronization point (also the next 10 loads)
         stats.vertices_visited = shared.vertices.load(Ordering::Relaxed);
         stats.edges_traversed = shared.edges.load(Ordering::Relaxed);
-        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after join
+        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
         stats.tasks_per_block = shared
             .tasks_per_block
             .iter()
-            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after join
+            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after the gang's completion wait
             .collect();
         stats.record_to(db_metrics::global(), "native");
         NativeResult {
@@ -361,11 +379,7 @@ fn worker<T: Tracer>(
         SmallRng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut active = initially_active;
     let mut backoff = 0u32;
-
-    // Local stat accumulators, merged on exit.
-    let mut edges = 0u64;
-    let mut vertices = 0u64;
-    let mut tasks = 0u64;
+    let mut tally = Tally::default();
 
     loop {
         if s.done.load(Ordering::Acquire) {
@@ -380,7 +394,7 @@ fn worker<T: Tracer>(
             }
         }
         if active {
-            if work_step(s, w, b, &mut edges, &mut vertices, &mut tasks, tc) {
+            if work_step(s, w, b, &mut tally, tc) {
                 backoff = 0;
                 continue;
             }
@@ -392,7 +406,7 @@ fn worker<T: Tracer>(
         }
         // Idle: merge hot counters early so other threads see progress,
         // then try to steal.
-        if steal_step(s, w, b, &mut rng, tc) {
+        if steal_step(s, w, b, &mut rng, &mut tally, tc) {
             active = true;
             backoff = 0;
             s.block_active[b].fetch_add(1, Ordering::AcqRel);
@@ -406,10 +420,13 @@ fn worker<T: Tracer>(
         }
     }
 
-    // relaxed-ok: stats counters, read only after the scope join
-    s.edges.fetch_add(edges, Ordering::Relaxed);
-    s.vertices.fetch_add(vertices, Ordering::Relaxed);
-    s.tasks_per_block[b].fetch_add(tasks, Ordering::Relaxed);
+    // Merge the warp's tally once. Each total is read only after the
+    // gang's completion wait, which orders these relaxed updates.
+    s.edges.fetch_add(tally.edges, Ordering::Relaxed); // relaxed-ok: stats
+    s.vertices.fetch_add(tally.vertices, Ordering::Relaxed); // relaxed-ok: stats
+    s.tasks_per_block[b].fetch_add(tally.tasks, Ordering::Relaxed); // relaxed-ok: stats
+    s.hot_hw.fetch_max(tally.hot_hw, Ordering::Relaxed); // relaxed-ok: stats
+    s.cold_hw.fetch_max(tally.cold_hw, Ordering::Relaxed); // relaxed-ok: stats
 }
 
 /// One unit of DFS progress for an active warp. Returns false when the
@@ -418,9 +435,7 @@ fn work_step<T: Tracer>(
     s: &Shared<'_>,
     w: u32,
     b: usize,
-    edges: &mut u64,
-    vertices: &mut u64,
-    tasks: &mut u64,
+    tally: &mut Tally,
     tc: &TraceCtx<'_, T>,
 ) -> bool {
     let lane = w % s.cfg.warps_per_block;
@@ -437,7 +452,7 @@ fn work_step<T: Tracer>(
         drop(cold);
         hot.push_batch(&batch);
         ws.hot_len.store(hot.len(), Ordering::Release);
-        s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
+        tally.hot_hw = tally.hot_hw.max(hot.len());
         s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
         tc.emit(
             b as u32,
@@ -484,11 +499,11 @@ fn work_step<T: Tracer>(
         }
         s.cas_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
     }
-    *edges += (i - off) as u64;
+    tally.edges += (i - off) as u64;
     match child {
         Some((v, _)) => {
-            *vertices += 1;
-            *tasks += 1;
+            tally.vertices += 1;
+            tally.tasks += 1;
             // Count the new entry BEFORE it becomes visible: a thief may
             // consume the child instantly, and the live counter must
             // never under-count while the parent continuation exists.
@@ -502,7 +517,7 @@ fn work_step<T: Tracer>(
                 let mut cold = ws.cold.lock();
                 cold.push_top(&batch);
                 ws.cold_len.store(cold.len(), Ordering::Release);
-                s.cold_hw.fetch_max(cold.len(), Ordering::Relaxed); // relaxed-ok: stats
+                tally.cold_hw = tally.cold_hw.max(cold.len());
                 drop(cold);
                 s.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
@@ -515,7 +530,7 @@ fn work_step<T: Tracer>(
             }
             hot.push((v, 0)).expect("flush guarantees space");
             ws.hot_len.store(hot.len(), Ordering::Release);
-            s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
+            tally.hot_hw = tally.hot_hw.max(hot.len());
             drop(hot);
             tc.emit(b as u32, lane, EventKind::Push { vertex: v });
         }
@@ -541,6 +556,7 @@ fn steal_step<T: Tracer>(
     w: u32,
     b: usize,
     rng: &mut SmallRng,
+    tally: &mut Tally,
     tc: &TraceCtx<'_, T>,
 ) -> bool {
     let cfg = s.cfg;
@@ -570,7 +586,7 @@ fn steal_step<T: Tracer>(
                 let batch = vhot.take_from_tail(cfg.hot_steal_batch() as u64);
                 vs.hot_len.store(vhot.len(), Ordering::Release);
                 drop(vhot);
-                deposit(s, w, &batch);
+                deposit(s, w, &batch, tally);
                 s.steals_intra.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
                     b as u32,
@@ -626,7 +642,7 @@ fn steal_step<T: Tracer>(
     // costs one misdirected steal probe
     s.pending[vb as usize].fetch_sub(k, Ordering::Relaxed);
     s.pending[b].fetch_add(k, Ordering::Relaxed);
-    deposit(s, w, &batch);
+    deposit(s, w, &batch, tally);
     s.steals_inter.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
     tc.emit(
         b as u32,
@@ -676,12 +692,12 @@ fn select_victim_block(s: &Shared<'_>, my_block: u32, rng: &mut SmallRng) -> Opt
 }
 
 /// Places stolen entries into the thief's (empty) HotRing.
-fn deposit(s: &Shared<'_>, w: u32, batch: &[Entry]) {
+fn deposit(s: &Shared<'_>, w: u32, batch: &[Entry], tally: &mut Tally) {
     let ws = &s.warps[w as usize];
     let mut hot = ws.hot.lock();
     hot.push_batch(batch);
     ws.hot_len.store(hot.len(), Ordering::Release);
-    s.hot_hw.fetch_max(hot.len(), Ordering::Relaxed); // relaxed-ok: stats
+    tally.hot_hw = tally.hot_hw.max(hot.len());
 }
 
 #[cfg(test)]
@@ -773,7 +789,7 @@ mod tests {
 
     #[test]
     fn default_config_runs() {
-        // Defaults use 8 threads; make sure they terminate on a small graph.
+        // Defaults use 8 logical warps; make sure they terminate on a small graph.
         let g = grid(20, 20);
         let out = NativeEngine::new(NativeConfig::default()).run(&g, 0);
         check_reachability(&g, 0, &out.visited).unwrap();

@@ -16,7 +16,7 @@
 use crate::cancel::CancelToken;
 use crate::config::DiggerBeesConfig;
 use crate::lockfree::StampedRing;
-use crate::native::{NativeResult, TraceCtx};
+use crate::native::{NativeResult, Tally, TraceCtx};
 use crate::stack::{ColdSeg, Entry};
 use db_gpu_sim::SimStats;
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
@@ -159,7 +159,7 @@ impl LockFreeEngine {
         };
 
         shared.visited[root as usize].store(1, Ordering::Release);
-        // relaxed-ok: stats counters seeded before any worker spawns
+        // relaxed-ok: stats counters seeded before the gang job starts
         shared.vertices.store(1, Ordering::Relaxed);
         shared.tasks_per_block[0].store(1, Ordering::Relaxed);
         shared.live.store(1, Ordering::Release);
@@ -177,15 +177,15 @@ impl LockFreeEngine {
             },
         );
         tc.emit(0, 0, EventKind::Push { vertex: root });
-        crossbeam::scope(|scope| {
-            for w in 0..nw {
-                let shared = &shared;
-                let tc = &tc;
-                let poller = cancel.map(CancelToken::poller);
-                scope.spawn(move |_| worker(shared, w, w == 0, tc, poller));
-            }
-        })
-        .expect("worker panicked");
+        crate::gang::run(nw as usize, &|w| {
+            worker(
+                &shared,
+                w as u32,
+                w == 0,
+                &tc,
+                cancel.map(CancelToken::poller),
+            )
+        });
         let wall = start.elapsed();
         tc.emit(
             0,
@@ -196,21 +196,21 @@ impl LockFreeEngine {
         );
 
         let mut stats = SimStats::new(cfg.blocks as usize);
-        // relaxed-ok: stats snapshot; the scope join above synchronizes
+        // relaxed-ok: stats snapshot; gang::run's completion wait synchronizes
         stats.vertices_visited = shared.vertices.load(Ordering::Relaxed);
-        stats.edges_traversed = shared.edges.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after join
-        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after join
+        stats.edges_traversed = shared.edges.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
+        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
         stats.tasks_per_block = shared
             .tasks_per_block
             .iter()
-            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after join
+            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after the gang's completion wait
             .collect();
         stats.record_to(db_metrics::global(), "lockfree");
         NativeResult {
@@ -245,9 +245,7 @@ fn worker<T: Tracer>(
         SmallRng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut active = initially_active;
     let mut backoff = 0u32;
-    let mut edges = 0u64;
-    let mut vertices = 0u64;
-    let mut tasks = 0u64;
+    let mut tally = Tally::default();
 
     loop {
         if s.done.load(Ordering::Acquire) {
@@ -262,7 +260,7 @@ fn worker<T: Tracer>(
             }
         }
         if active {
-            if work_step(s, w, b, &mut edges, &mut vertices, &mut tasks, tc) {
+            if work_step(s, w, b, &mut tally, tc) {
                 backoff = 0;
                 continue;
             }
@@ -271,7 +269,7 @@ fn worker<T: Tracer>(
             tc.emit(b as u32, lane, EventKind::WarpIdle);
             continue;
         }
-        if steal_step(s, w, b, &mut rng, tc) {
+        if steal_step(s, w, b, &mut rng, &mut tally, tc) {
             active = true;
             backoff = 0;
             s.block_active[b].fetch_add(1, Ordering::AcqRel);
@@ -284,10 +282,13 @@ fn worker<T: Tracer>(
             std::thread::yield_now();
         }
     }
-    // relaxed-ok: stats counters, read only after the scope join
-    s.edges.fetch_add(edges, Ordering::Relaxed);
-    s.vertices.fetch_add(vertices, Ordering::Relaxed);
-    s.tasks_per_block[b].fetch_add(tasks, Ordering::Relaxed);
+    // Merge the warp's tally once. Each total is read only after the
+    // gang's completion wait, which orders these relaxed updates.
+    s.edges.fetch_add(tally.edges, Ordering::Relaxed); // relaxed-ok: stats
+    s.vertices.fetch_add(tally.vertices, Ordering::Relaxed); // relaxed-ok: stats
+    s.tasks_per_block[b].fetch_add(tally.tasks, Ordering::Relaxed); // relaxed-ok: stats
+    s.hot_hw.fetch_max(tally.hot_hw, Ordering::Relaxed); // relaxed-ok: stats
+    s.cold_hw.fetch_max(tally.cold_hw, Ordering::Relaxed); // relaxed-ok: stats
 }
 
 /// One pop-process-push step. Returns false when out of local work.
@@ -295,9 +296,7 @@ fn work_step<T: Tracer>(
     s: &Shared<'_>,
     w: u32,
     b: usize,
-    edges: &mut u64,
-    vertices: &mut u64,
-    tasks: &mut u64,
+    tally: &mut Tally,
     tc: &TraceCtx<'_, T>,
 ) -> bool {
     let lane = w % s.cfg.warps_per_block;
@@ -315,7 +314,7 @@ fn work_step<T: Tracer>(
         for e in batch {
             ws.hot.push(e).expect("refill fits an empty ring");
         }
-        s.hot_hw.fetch_max(ws.hot.len() as u64, Ordering::Relaxed); // relaxed-ok: stats
+        tally.hot_hw = tally.hot_hw.max(ws.hot.len() as u64);
         s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
         tc.emit(b as u32, lane, EventKind::Refill { entries });
         return true;
@@ -344,11 +343,11 @@ fn work_step<T: Tracer>(
         }
         s.cas_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
     }
-    *edges += (i - off) as u64;
+    tally.edges += (i - off) as u64;
     match child {
         Some((v, _)) => {
-            *vertices += 1;
-            *tasks += 1;
+            tally.vertices += 1;
+            tally.tasks += 1;
             // Count the new entry BEFORE publishing it (a thief may
             // consume the child instantly; the live counter must never
             // under-count while the parent continuation exists).
@@ -357,8 +356,8 @@ fn work_step<T: Tracer>(
             // two-choice victim selection; nothing is published under it
             s.pending[b].fetch_add(1, Ordering::Relaxed);
             // Push the continuation then the child (child on top).
-            push_with_flush(s, w, (u, i), tc);
-            push_with_flush(s, w, (v, 0), tc);
+            push_with_flush(s, w, (u, i), tally, tc);
+            push_with_flush(s, w, (v, 0), tally, tc);
             tc.emit(b as u32, lane, EventKind::Push { vertex: v });
         }
         None => {
@@ -376,13 +375,18 @@ fn work_step<T: Tracer>(
 /// Push, flushing the oldest entries to the ColdSeg when the ring is
 /// full (the flush consumes from `tail` through the same steal path a
 /// thief uses, so it composes with concurrent steals).
-fn push_with_flush<T: Tracer>(s: &Shared<'_>, w: u32, e: Entry, tc: &TraceCtx<'_, T>) {
+fn push_with_flush<T: Tracer>(
+    s: &Shared<'_>,
+    w: u32,
+    e: Entry,
+    tally: &mut Tally,
+    tc: &TraceCtx<'_, T>,
+) {
     let ws = &s.warps[w as usize];
     loop {
         match ws.hot.push(e) {
             Ok(()) => {
-                // relaxed-ok: stats high-water mark
-                s.hot_hw.fetch_max(ws.hot.len() as u64, Ordering::Relaxed);
+                tally.hot_hw = tally.hot_hw.max(ws.hot.len() as u64);
                 return;
             }
             Err(_) => {
@@ -395,7 +399,7 @@ fn push_with_flush<T: Tracer>(s: &Shared<'_>, w: u32, e: Entry, tc: &TraceCtx<'_
                 let mut cold = ws.cold.lock();
                 cold.push_top(&batch);
                 ws.cold_len.store(cold.len(), Ordering::Release);
-                s.cold_hw.fetch_max(cold.len(), Ordering::Relaxed); // relaxed-ok: stats
+                tally.cold_hw = tally.cold_hw.max(cold.len());
                 drop(cold);
                 s.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
@@ -415,6 +419,7 @@ fn steal_step<T: Tracer>(
     w: u32,
     b: usize,
     rng: &mut SmallRng,
+    tally: &mut Tally,
     tc: &TraceCtx<'_, T>,
 ) -> bool {
     let cfg = s.cfg;
@@ -447,7 +452,7 @@ fn steal_step<T: Tracer>(
             } else {
                 let entries = batch.len() as u32;
                 for e in batch {
-                    push_with_flush(s, w, e, tc);
+                    push_with_flush(s, w, e, tally, tc);
                 }
                 s.steals_intra.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
                 tc.emit(
@@ -532,7 +537,7 @@ fn steal_step<T: Tracer>(
     s.pending[b].fetch_add(k, Ordering::Relaxed);
     let entries = batch.len() as u32;
     for e in batch {
-        push_with_flush(s, w, e, tc);
+        push_with_flush(s, w, e, tally, tc);
     }
     s.steals_inter.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
     tc.emit(

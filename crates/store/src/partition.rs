@@ -2,15 +2,23 @@
 //! stealing lifted one level up.
 //!
 //! The vertex space is edge-cut into contiguous ranges (partitions),
-//! each owned by one worker thread. A worker expands vertices from its
-//! own partition's stack; edges crossing into another partition are
-//! batched into per-destination handoff buffers and flushed into the
-//! owner's stack — the "remote frontier handoff". An idle worker first
-//! drains its own stack (which doubles as its inbox), then steals half
-//! of a victim partition's stack from the bottom, exactly the
+//! each with its own stack and a logical worker. A worker expands
+//! vertices from its own partition's stack; edges crossing into another
+//! partition are batched into per-destination handoff buffers and
+//! flushed into the owner's stack — the "remote frontier handoff". An
+//! idle worker first drains its own stack (which doubles as its inbox),
+//! then steals half of a victim partition's stack from the bottom
+//! (rounded up, so a one-entry stack can be taken), exactly the
 //! steal-half discipline `db-core`'s inter-block path uses, emitting the
 //! same `StealInter` / `StealFail` trace events with the partition index
 //! as the block id.
+//!
+//! The workers are the slots of one [`db_core::gang`] job: the calling
+//! thread works partition 0 and idle helper threads take further
+//! partitions, so at most as many partitions are worked at once as the
+//! host has cores. The caller starts with the root in hand, and a
+//! partition nobody works is emptied by the others' steals, so the
+//! caller alone can finish any traversal.
 //!
 //! Termination uses a pending-claims counter: a vertex is counted when
 //! it is claimed (visited flag won via atomic swap, always during its
@@ -95,7 +103,9 @@ pub struct PartitionRunStats {
     pub entries_stolen: u64,
     /// Remote-edge handoff flushes into another partition's stack.
     pub handoffs: u64,
-    /// Entries moved by handoffs.
+    /// Handed-off entries their own partition's worker took from its
+    /// stack. Every stacked entry leaves its stack once, counted either
+    /// here or in `entries_stolen`, so each claim moves exactly once.
     pub entries_handed: u64,
     /// Vertices expanded (equals visited count on a complete run).
     pub expanded: u64,
@@ -121,7 +131,9 @@ struct Shared<'a, T: Tracer> {
     expanded: AtomicU64,
 }
 
-/// Runs a partitioned DFS from `root`, one worker thread per partition.
+/// Runs a partitioned DFS from `root`: one logical worker per
+/// partition, run by the caller and whichever [`db_core::gang`] helpers
+/// are idle (see the module docs).
 ///
 /// `cancelled` is polled between expansions; a cancelled run returns
 /// `completed = false` with a consistent partial visited set. Returns
@@ -154,17 +166,11 @@ pub fn run_partitioned<T: Tracer>(
         entries_handed: AtomicU64::new(0),
         expanded: AtomicU64::new(0),
     };
-    shared.visited[root as usize].store(true, Ordering::Relaxed); // relaxed-ok: claim flag; the scope join below orders the final read
-    {
-        let owner = spec.owner(root);
-        shared.stacks[owner].lock().expect("stack lock").push(root); // io-ok: poisoned stack mutex means a worker panicked; propagate it
-    }
+    shared.visited[root as usize].store(true, Ordering::Relaxed); // relaxed-ok: claim flag; the gang's completion wait below orders the final read
 
-    std::thread::scope(|scope| {
-        for p in 0..spec.parts() {
-            let shared = &shared;
-            scope.spawn(move || worker(shared, p, cancelled));
-        }
+    // The caller's slot holds the root, so it never depends on a helper.
+    db_core::gang::run(spec.parts(), &|p| {
+        worker(&shared, p, (p == 0).then_some(root), cancelled)
     });
 
     // `stop` is set on both quiescence and cancellation; only the
@@ -173,23 +179,28 @@ pub fn run_partitioned<T: Tracer>(
     let visited = shared
         .visited
         .iter()
-        .map(|b| b.load(Ordering::Relaxed)) // relaxed-ok: read after thread::scope join; join synchronizes
+        .map(|b| b.load(Ordering::Relaxed)) // relaxed-ok: read after gang::run; its completion wait synchronizes
         .collect();
     let stats = PartitionRunStats {
-        steals: shared.steals.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
-        steal_fails: shared.steal_fails.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
-        entries_stolen: shared.entries_stolen.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
-        handoffs: shared.handoffs.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
-        entries_handed: shared.entries_handed.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
-        expanded: shared.expanded.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after join
+        steals: shared.steals.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
+        steal_fails: shared.steal_fails.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
+        entries_stolen: shared.entries_stolen.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
+        handoffs: shared.handoffs.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
+        entries_handed: shared.entries_handed.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
+        expanded: shared.expanded.load(Ordering::Relaxed), // relaxed-ok: stats counter, read after the gang's completion wait
     };
     (visited, completed, stats)
 }
 
-fn worker<T: Tracer>(shared: &Shared<'_, T>, p: usize, cancelled: &(dyn Fn() -> bool + Sync)) {
+fn worker<T: Tracer>(
+    shared: &Shared<'_, T>,
+    p: usize,
+    seed: Option<u32>,
+    cancelled: &(dyn Fn() -> bool + Sync),
+) {
     let parts = shared.spec.parts();
     let mut out_bufs: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    let mut local: Vec<u32> = Vec::new();
+    let mut local: Vec<u32> = seed.into_iter().collect();
     let mut idle_spins = 0u32;
 
     loop {
@@ -201,10 +212,19 @@ fn worker<T: Tracer>(shared: &Shared<'_, T>, p: usize, cancelled: &(dyn Fn() -> 
         // 1. Local work: refill from own stack (which is also the inbox
         // remote handoffs land in).
         if local.is_empty() {
-            let mut stack = shared.stacks[p].lock().expect("stack lock"); // io-ok: poisoned stack mutex means a worker panicked; propagate it
-                                                                          // Take the top half so the bottom stays stealable.
+            // io-ok: poisoned stack mutex means a worker panicked; propagate it
+            let mut stack = shared.stacks[p].lock().expect("stack lock");
+            // Take the top half so the bottom stays stealable.
             let keep = stack.len() / 2;
+            let taken = stack.len() - keep;
             local.extend(stack.drain(keep..));
+            drop(stack);
+            if taken > 0 {
+                // relaxed-ok: handoff statistics only
+                shared
+                    .entries_handed
+                    .fetch_add(taken as u64, Ordering::Relaxed);
+            }
         }
 
         if let Some(u) = local.pop() {
@@ -223,7 +243,7 @@ fn worker<T: Tracer>(shared: &Shared<'_, T>, p: usize, cancelled: &(dyn Fn() -> 
         for delta in 1..parts {
             let victim = (p + delta) % parts;
             let mut vstack = shared.stacks[victim].lock().expect("stack lock"); // io-ok: poisoned stack mutex means a worker panicked; propagate it
-            let take = vstack.len() / 2;
+            let take = vstack.len().div_ceil(2);
             if take > 0 {
                 // Steal-half from the bottom: oldest entries, the
                 // paper's inter-block ColdSeg-bottom discipline.
@@ -312,11 +332,9 @@ fn flush_one<T: Tracer>(shared: &Shared<'_, T>, owner: usize, buf: &mut Vec<u32>
     if buf.is_empty() {
         return;
     }
-    let entries = buf.len() as u64;
     // io-ok: poisoned stack mutex means a worker panicked; propagate it
     shared.stacks[owner].lock().expect("stack lock").append(buf);
     shared.handoffs.fetch_add(1, Ordering::Relaxed); // relaxed-ok: handoff statistics only
-    shared.entries_handed.fetch_add(entries, Ordering::Relaxed); // relaxed-ok: handoff statistics only
 }
 
 fn flush_all<T: Tracer>(shared: &Shared<'_, T>, out_bufs: &mut [Vec<u32>]) {
@@ -430,6 +448,32 @@ mod tests {
         assert!(!completed);
         // Partial prefix: whatever is marked visited was truly claimed.
         assert!(visited[0]);
+    }
+
+    #[test]
+    fn lone_participant_steals_every_foreign_claim_once() {
+        // Only the caller runs: each vertex of a fully cut path lands on
+        // an unworked partition's stack as a one-entry handoff, which the
+        // caller must steal back. Each claim moves exactly once.
+        let g = grid(24, 1);
+        let spec = partition_by_arcs(&g, 24);
+        let (visited, completed, stats) =
+            db_core::gang::caller_only(|| run_partitioned(&g, &spec, 0, &NullTracer, &never()));
+        assert!(completed);
+        assert!(visited.iter().all(|&v| v));
+        assert_eq!(stats.expanded, 24);
+        assert_eq!(
+            (stats.entries_stolen, stats.entries_handed),
+            (23, 0),
+            "{stats:?}"
+        );
+
+        let g = grid(30, 30);
+        let spec = partition_by_arcs(&g, 4);
+        let (visited, completed, _) =
+            db_core::gang::caller_only(|| run_partitioned(&g, &spec, 450, &NullTracer, &never()));
+        assert!(completed);
+        assert_eq!(visited, db_graph::serial_dfs(&g, 450).visited);
     }
 
     #[test]

@@ -1485,6 +1485,10 @@ fn check_main() -> ExitCode {
         findings += run_model_config("proto/star4", &ProtoModel::new(ProtoScenario::star4(2)));
         findings += run_model_config("proto/star4x3", &ProtoModel::new(ProtoScenario::star4(3)));
         findings += run_model_config(
+            "proto/star4x3-unclaimed",
+            &ProtoModel::new(ProtoScenario::star4(3).with_unclaimed(1)),
+        );
+        findings += run_model_config(
             "proto/diamond4",
             &ProtoModel::new(ProtoScenario::diamond4(2)),
         );
