@@ -1,14 +1,23 @@
 //! Step-level model of the DiggerBees work/steal handshake — the
-//! visited-CAS discovery protocol and the `live`-counter termination
-//! protocol shared by `native_lockfree`, `native`, and `deque_dfs`.
+//! visited-CAS discovery protocol and the credit-based termination
+//! protocol shared by `native_lockfree` and `native` (and, with one
+//! credit per entry, `deque_dfs`).
 //!
 //! Workers run the engines' actual loop structure on a tiny graph:
 //! pop an entry, scan its adjacency row, claim the first unvisited
-//! child with a CAS, bump the `live` counter **before** publishing the
-//! continuation and the child (the ordering the engines' regression
-//! comments insist on), and decrement `live` on exhaustion, raising the
-//! global `done` flag when it hits zero. Idle workers steal from the
-//! bottom of a victim's stack. Each atomic access is one explorer step.
+//! child with a CAS, spend a termination credit **before** publishing
+//! the continuation and the child (the ordering the engines' regression
+//! comments insist on), and retire exhausted entries. Credits work as
+//! in `db_core`'s ledger: `live` counts every entry plus the credits
+//! workers hold privately; a worker with an empty reserve takes
+//! [`CREDIT_BATCH`] credits with one atomic add, retiring an entry
+//! refunds its credit to the retiring worker's reserve without touching
+//! `live`, and a worker that runs out of local work (or exits) returns
+//! its whole reserve with one atomic subtract, raising the global
+//! `done` flag when that return drains `live`. The batch is 2 so the
+//! tiny scenarios exercise partial batches, refills and returns of a
+//! part-spent batch. Idle workers steal from the bottom of a victim's
+//! stack. Each atomic access is one explorer step.
 //!
 //! The ring internals are verified separately by
 //! [`crate::ring_model`]; here stacks are atomic push/pop/steal
@@ -20,19 +29,26 @@
 //!
 //! * **exactly-once visitation** — no vertex is discovered twice;
 //! * **no lost block** — at termination every reachable vertex was
-//!   visited and every stack is empty;
+//!   visited, every stack is empty and every reserve was returned;
 //! * **handshake soundness** — `live` never goes negative, and `done`
-//!   is only ever raised on a truly quiescent system.
+//!   is only ever raised on a truly quiescent system;
+//! * **termination** — a run never ends with workers spinning and
+//!   `done` unset (the explorer's deadlock check).
 //!
 //! [`ProtoMutation`] seeds the historical bug classes: publishing the
 //! child before counting it, replacing the visited CAS with a plain
-//! store, and stealing by copy instead of by transfer.
+//! store, stealing by copy instead of by transfer, returning credits
+//! that still back an entry in hand, and returning credits without
+//! the zero check that raises `done`.
 //!
 //! [`ProtoScenario::with_unclaimed`] leaves workers that never start,
 //! standing for gang slots no helper claimed: the engines must still
 //! terminate, with every oracle intact, on the workers that do run.
 
 use crate::explore::{ActorId, Model, Violation};
+
+/// Credits a worker takes from `live` at a time.
+pub const CREDIT_BATCH: i32 = 2;
 
 /// A seeded handshake bug for the mutation tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,14 +63,23 @@ pub enum ProtoMutation {
     /// The thief copies entries out of the victim's stack without
     /// removing them (every stolen block is executed twice).
     StealDuplicates,
+    /// A worker that pops its last stacked entry treats itself as idle
+    /// at once and returns its reserve *plus* the credit of the entry
+    /// still in its hand, so `live` drops to zero while work exists.
+    ReturnWhileHolding,
+    /// The credit return subtracts from `live` but never raises `done`
+    /// when it drains the counter, so the workers spin forever.
+    ReturnSkipsZeroCheck,
 }
 
 impl ProtoMutation {
     /// Every mutation, for exhaustive mutation tests.
-    pub const ALL: [ProtoMutation; 3] = [
+    pub const ALL: [ProtoMutation; 5] = [
         ProtoMutation::PublishBeforeLive,
         ProtoMutation::SkipVisitedCas,
         ProtoMutation::StealDuplicates,
+        ProtoMutation::ReturnWhileHolding,
+        ProtoMutation::ReturnSkipsZeroCheck,
     ];
 }
 
@@ -129,8 +154,10 @@ impl ProtoScenario {
 /// Worker program counter; each variant boundary is one atomic access.
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
 enum WorkerPc {
-    /// Check `done`, then pop own stack or go steal.
+    /// Check `done`, then pop own stack, return credits or go steal.
     Top,
+    /// `live -= reserve`; raise `done` when it hits zero.
+    Return,
     /// Load `visited[adj[u][i]]` (the test of test-and-test-and-set).
     ScanLoad {
         u: u32,
@@ -142,8 +169,9 @@ enum WorkerPc {
         i: u32,
         v: u32,
     },
-    /// `live += 1` (counts the child before it is published).
-    IncLive {
+    /// Spend a credit on the child before it is published, first
+    /// taking a batch (`live += CREDIT_BATCH`) if the reserve is empty.
+    TakeCredit {
         u: u32,
         i: u32,
         v: u32,
@@ -160,8 +188,8 @@ enum WorkerPc {
         i: u32,
         v: u32,
     },
-    /// `live -= 1`; raise `done` when it hits zero.
-    DecLive,
+    /// The exhausted entry dies; its credit goes back to the reserve.
+    Retire,
     Exit,
 }
 
@@ -173,6 +201,8 @@ pub struct ProtoState {
     done: bool,
     stacks: Vec<Vec<(u32, u32)>>,
     workers: Vec<WorkerPc>,
+    /// Credits each worker holds privately.
+    reserve: Vec<i32>,
     /// Ghost: CAS-win count per vertex (exactly-once oracle).
     discoveries: Vec<u8>,
 }
@@ -193,6 +223,22 @@ impl ProtoModel {
 
     fn deg(&self, u: u32) -> u32 {
         self.scenario.adj[u as usize].len() as u32
+    }
+
+    /// The credit return: `live -= reserve`, raising `done` when it
+    /// drains (unless the zero check is mutated away).
+    fn give_back(&self, s: &mut ProtoState, a: usize) -> Result<(), Violation> {
+        s.live -= std::mem::take(&mut s.reserve[a]);
+        if s.live < 0 {
+            return Err(Violation::new(
+                "live-underflow",
+                "live counter went negative".to_string(),
+            ));
+        }
+        if s.live == 0 && self.scenario.mutation != Some(ProtoMutation::ReturnSkipsZeroCheck) {
+            s.done = true;
+        }
+        Ok(())
     }
 
     /// The steal step: scan victims in index order for a stack at or
@@ -250,6 +296,7 @@ impl Model for ProtoModel {
             done: false,
             stacks,
             workers,
+            reserve: vec![0; self.scenario.workers],
             discoveries,
         }
     }
@@ -270,7 +317,7 @@ impl Model for ProtoModel {
         // `done` unset is spinning; stepping it would not change the
         // state (the dedup would prune it), so treat it as blocked
         // rather than letting every branch interleave no-ops.
-        if s.workers[a] == WorkerPc::Top && !s.done && s.stacks[a].is_empty() {
+        if s.workers[a] == WorkerPc::Top && !s.done && s.stacks[a].is_empty() && s.reserve[a] == 0 {
             let mut probe = s.clone();
             if !self.try_steal(&mut probe, a) {
                 return false;
@@ -287,10 +334,22 @@ impl Model for ProtoModel {
         let mut s = s.clone();
         match s.workers[a].clone() {
             WorkerPc::Top => {
-                if s.done {
+                if s.reserve[a] != 0 && (s.done || s.stacks[a].is_empty()) {
+                    // Idle or exiting: hand the reserve back.
+                    s.workers[a] = WorkerPc::Return;
+                } else if s.done {
                     s.workers[a] = WorkerPc::Exit;
                 } else if let Some((u, i)) = s.stacks[a].pop() {
                     s.workers[a] = WorkerPc::ScanLoad { u, i };
+                    if self.scenario.mutation == Some(ProtoMutation::ReturnWhileHolding)
+                        && s.stacks[a].is_empty()
+                    {
+                        // Mutation: "my stack is empty, so I am idle" —
+                        // the credit of the entry just popped goes back
+                        // with the reserve (and again when it retires).
+                        s.reserve[a] += 1;
+                        self.give_back(&mut s, a)?;
+                    }
                 } else {
                     // Steal (enabled() guarantees a victim exists).
                     let stole = self.try_steal(&mut s, a);
@@ -299,7 +358,7 @@ impl Model for ProtoModel {
             }
             WorkerPc::ScanLoad { u, i } => {
                 if i >= self.deg(u) {
-                    s.workers[a] = WorkerPc::DecLive;
+                    s.workers[a] = WorkerPc::Retire;
                 } else {
                     let v = self.scenario.adj[u as usize][i as usize];
                     s.workers[a] = if s.visited[v as usize] != 0 {
@@ -332,14 +391,18 @@ impl Model for ProtoModel {
                         if self.scenario.mutation == Some(ProtoMutation::PublishBeforeLive) {
                             WorkerPc::PushCont { u, i: i + 1, v }
                         } else {
-                            WorkerPc::IncLive { u, i: i + 1, v }
+                            WorkerPc::TakeCredit { u, i: i + 1, v }
                         };
                 } else {
                     s.workers[a] = WorkerPc::ScanLoad { u, i: i + 1 };
                 }
             }
-            WorkerPc::IncLive { u, i, v } => {
-                s.live += 1;
+            WorkerPc::TakeCredit { u, i, v } => {
+                if s.reserve[a] == 0 {
+                    s.live += CREDIT_BATCH;
+                    s.reserve[a] = CREDIT_BATCH;
+                }
+                s.reserve[a] -= 1;
                 s.workers[a] = if self.scenario.mutation == Some(ProtoMutation::PublishBeforeLive) {
                     // Mutated order already published; expansion done.
                     WorkerPc::Top
@@ -354,22 +417,17 @@ impl Model for ProtoModel {
             WorkerPc::PushChild { u, i, v } => {
                 s.stacks[a].push((v, 0));
                 s.workers[a] = if self.scenario.mutation == Some(ProtoMutation::PublishBeforeLive) {
-                    WorkerPc::IncLive { u, i, v }
+                    WorkerPc::TakeCredit { u, i, v }
                 } else {
                     WorkerPc::Top
                 };
             }
-            WorkerPc::DecLive => {
-                s.live -= 1;
-                if s.live < 0 {
-                    return Err(Violation::new(
-                        "live-underflow",
-                        "live counter went negative".to_string(),
-                    ));
-                }
-                if s.live == 0 {
-                    s.done = true;
-                }
+            WorkerPc::Retire => {
+                s.reserve[a] += 1;
+                s.workers[a] = WorkerPc::Top;
+            }
+            WorkerPc::Return => {
+                self.give_back(&mut s, a)?;
                 s.workers[a] = WorkerPc::Top;
             }
             WorkerPc::Exit => unreachable!("stepping an exited worker"),
@@ -382,10 +440,12 @@ impl Model for ProtoModel {
         // termination-handshake failure (it strands those entries).
         if s.done {
             let stacked: usize = s.stacks.iter().map(Vec::len).sum();
+            // An entry stays in hand until its retirement step, which
+            // only refunds its credit locally.
             let in_hand = s
                 .workers
                 .iter()
-                .filter(|pc| !matches!(pc, WorkerPc::Top | WorkerPc::Exit | WorkerPc::DecLive))
+                .filter(|pc| !matches!(pc, WorkerPc::Top | WorkerPc::Exit | WorkerPc::Return))
                 .count();
             if stacked + in_hand > 0 && s.live <= 0 {
                 return Err(Violation::new(
@@ -421,6 +481,12 @@ impl Model for ProtoModel {
             return Err(Violation::new(
                 "handshake",
                 format!("live = {} at termination", s.live),
+            ));
+        }
+        if let Some(w) = s.reserve.iter().position(|&r| r != 0) {
+            return Err(Violation::new(
+                "handshake",
+                format!("worker {w} exited holding {} credits", s.reserve[w]),
             ));
         }
         Ok(())

@@ -63,11 +63,14 @@ fn every_proto_mutation_is_caught_and_replayable() {
     // Each mutation paired with the graph shape that exposes it:
     // the termination race needs depth (path), the double-steal needs
     // fan-out (star), the visited race needs two parents of one child
-    // (diamond).
+    // (diamond). The credit-return bugs show on any shape; they run on
+    // the path, where credits are taken, spent and returned in batches.
     let cases = [
         (ProtoMutation::PublishBeforeLive, ProtoScenario::path4(2)),
         (ProtoMutation::StealDuplicates, ProtoScenario::star4(2)),
         (ProtoMutation::SkipVisitedCas, ProtoScenario::diamond4(2)),
+        (ProtoMutation::ReturnWhileHolding, ProtoScenario::path4(2)),
+        (ProtoMutation::ReturnSkipsZeroCheck, ProtoScenario::path4(2)),
     ];
     assert_eq!(cases.len(), ProtoMutation::ALL.len());
     for (m, sc) in cases {
@@ -116,6 +119,8 @@ fn unclaimed_slot_keeps_every_oracle_and_mutation_check() {
         (ProtoMutation::PublishBeforeLive, &shapes[0]),
         (ProtoMutation::StealDuplicates, &shapes[1]),
         (ProtoMutation::SkipVisitedCas, &shapes[2]),
+        (ProtoMutation::ReturnWhileHolding, &shapes[0]),
+        (ProtoMutation::ReturnSkipsZeroCheck, &shapes[1]),
     ];
     assert_eq!(cases.len(), ProtoMutation::ALL.len());
     for (m, sc) in cases {
@@ -141,4 +146,24 @@ fn caller_alone_finishes_the_handshake() {
     let outcome = explorer().run(&ProtoModel::new(ProtoScenario::star4(3).with_unclaimed(2)));
     assert!(outcome.passed(), "{outcome:?}");
     assert!(outcome.stats().final_states > 0);
+}
+
+#[test]
+fn credit_return_mutations_fail_on_their_own_oracles() {
+    // Returning an in-hand entry's credit strands work behind a raised
+    // `done`; dropping the zero check leaves every worker spinning.
+    for (m, oracle) in [
+        (ProtoMutation::ReturnWhileHolding, "early-termination"),
+        (ProtoMutation::ReturnSkipsZeroCheck, "deadlock"),
+    ] {
+        for sc in [
+            ProtoScenario::star4(2),
+            ProtoScenario::star4(3).with_unclaimed(2),
+        ] {
+            match explorer().run(&ProtoModel::new(sc.with_mutation(m))) {
+                Outcome::Fail { violation, .. } => assert_eq!(violation.oracle, oracle, "{m:?}"),
+                other => panic!("mutation {m:?} escaped: {other:?}"),
+            }
+        }
+    }
 }

@@ -5,10 +5,11 @@
 //! warps until the traversal drains. A service layer that enforces
 //! per-request deadlines needs a way to stop a traversal mid-flight
 //! without killing threads: every worker polls a shared [`CancelToken`]
-//! at the top of its loop (one poll per vertex-expansion step — the
-//! "poll point"), and the first worker that observes a cancelled token
-//! raises the engine's global `done` flag so every participant exits
-//! within one step.
+//! at the top of its loop (one poll per work step — a vertex expansion,
+//! or for the locked native engine up to 32 expansions under one ring
+//! acquisition — the "poll point"), and the first worker that observes
+//! a cancelled token raises the engine's global `done` flag so every
+//! participant exits within one work step.
 //!
 //! Cancellation is *cooperative and partial*: a cancelled run returns a
 //! [`crate::native::NativeResult`] with `completed == false` whose

@@ -42,6 +42,7 @@ pub mod cancel;
 pub mod config;
 pub mod gang;
 pub mod graph_check;
+mod ledger;
 pub mod lockfree;
 pub mod native;
 pub mod native_lockfree;

@@ -16,17 +16,24 @@
 //! ColdSeg is guarded by its own `parking_lot::Mutex` with tiny critical
 //! sections — an uncontended acquisition is a single CAS, the same cost
 //! class, and the protocol (cutoffs, batch sizes, victim selection,
-//! flush-from-`tail`) is preserved verbatim. Ring lengths are also
-//! published in atomics so victim scans never take locks.
+//! flush-from-`tail`) is preserved verbatim. The owner runs up to 32
+//! expansion steps (`STEPS_PER_LOCK`) per acquisition of its HotRing and
+//! publishes the ring's length once per acquisition, so victim scans
+//! never take locks. An intra-block thief only `try_lock`s its victim's
+//! ring and counts a miss as a failed steal — the analogue of Alg. 3's
+//! failed `atomicCAS` — instead of parking behind the owner.
 //!
-//! Termination uses a global `live_entries` counter: every entry pushed
-//! increments it, every exhausted entry popped decrements it; zero means
-//! no warp can ever obtain work again, so the decrementing thread raises
-//! the `done` flag. (Entries being copied during a steal stay counted —
-//! they are live, merely in transit.)
+//! Termination uses credits (`crate::ledger`): a global `live` counter
+//! covers every entry anywhere plus the credits warps hold privately. A
+//! warp takes credits in batches when it publishes children, retiring
+//! an entry returns its credit to the warp's own reserve, and a warp
+//! that runs out of local work returns its whole reserve; the return
+//! that drains `live` raises the `done` flag. (Entries being copied
+//! during a steal stay counted — they are live, merely in transit.)
 
 use crate::cancel::CancelToken;
 use crate::config::DiggerBeesConfig;
+use crate::ledger::{Ledger, Line, Tally};
 use crate::stack::{ColdSeg, Entry, HotRing};
 use db_gpu_sim::SimStats;
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
@@ -34,7 +41,7 @@ use db_trace::{EventKind, NullTracer, PhaseKind, TraceEvent, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Tracer plus the engine start time; native engines stamp events with
@@ -112,6 +119,9 @@ impl NativeResult {
     }
 }
 
+/// Owner expansion steps per acquisition of its HotRing.
+const STEPS_PER_LOCK: u32 = 32;
+
 struct WarpShared {
     hot: Mutex<HotRing>,
     cold: Mutex<ColdSeg>,
@@ -126,29 +136,10 @@ struct Shared<'g> {
     cfg: DiggerBeesConfig,
     visited: Vec<AtomicU8>,
     parent: Vec<AtomicU32>,
-    warps: Vec<WarpShared>,
-    /// Entries logically alive anywhere (rings, segments, in transit).
-    live: AtomicI64,
-    done: AtomicBool,
-    /// Set when a worker observed a cancelled token and raised `done`.
-    cancelled: AtomicBool,
-    /// Pending entries per block — the Alg. 4 load signal.
-    pending: Vec<AtomicI64>,
-    /// Active warps per block — the §3.4 mask, as a counter.
-    block_active: Vec<AtomicU32>,
-    tasks_per_block: Vec<AtomicU64>,
-    steals_intra: AtomicU64,
-    steals_inter: AtomicU64,
-    steal_failures: AtomicU64,
-    flushes: AtomicU64,
-    refills: AtomicU64,
-    cas_failures: AtomicU64,
-    edges: AtomicU64,
-    vertices: AtomicU64,
-    /// High-water marks across all rings/segments, merged from each
-    /// warp's [`Tally`] when it exits.
-    hot_hw: AtomicU64,
-    cold_hw: AtomicU64,
+    /// One line per warp, so an owner's ring traffic stays off its
+    /// neighbours' lines.
+    warps: Vec<Line<WarpShared>>,
+    ledger: Ledger,
 }
 
 impl<'g> Shared<'g> {
@@ -164,17 +155,6 @@ impl<'g> Shared<'g> {
             .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
     }
-}
-
-/// Per-warp statistics, kept off the shared cache lines while the warp
-/// runs and merged into [`Shared`] once when it exits.
-#[derive(Default)]
-pub(crate) struct Tally {
-    pub(crate) edges: u64,
-    pub(crate) vertices: u64,
-    pub(crate) tasks: u64,
-    pub(crate) hot_hw: u64,
-    pub(crate) cold_hw: u64,
 }
 
 /// The DiggerBees native engine.
@@ -216,9 +196,10 @@ impl NativeEngine {
     }
 
     /// Like [`NativeEngine::run`], but every worker polls `token` at the
-    /// top of its loop (one poll per vertex-expansion step). When the
-    /// token cancels — by hand or by deadline — all workers stop within
-    /// one step and the result comes back with `completed == false`.
+    /// top of its loop (one poll per work step of up to 32 expansions).
+    /// When the token cancels — by hand or by deadline — all workers stop
+    /// within one work step and the result comes back with
+    /// `completed == false`.
     pub fn run_cancellable(
         &self,
         g: &CsrGraph,
@@ -238,7 +219,7 @@ impl NativeEngine {
         self.run_inner(g, root, tracer, None)
     }
 
-    fn run_inner<T: Tracer>(
+    pub(crate) fn run_inner<T: Tracer>(
         &self,
         g: &CsrGraph,
         root: VertexId,
@@ -258,45 +239,26 @@ impl NativeEngine {
             visited: (0..n).map(|_| AtomicU8::new(0)).collect(),
             parent: (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect(),
             warps: (0..nw)
-                .map(|_| WarpShared {
-                    hot: Mutex::new(HotRing::new(cfg.hot_size)),
-                    cold: Mutex::new(ColdSeg::new(cold_cap)),
-                    hot_len: AtomicU64::new(0),
-                    cold_len: AtomicU64::new(0),
+                .map(|_| {
+                    Line(WarpShared {
+                        hot: Mutex::new(HotRing::new(cfg.hot_size)),
+                        cold: Mutex::new(ColdSeg::new(cold_cap)),
+                        hot_len: AtomicU64::new(0),
+                        cold_len: AtomicU64::new(0),
+                    })
                 })
                 .collect(),
-            live: AtomicI64::new(0),
-            done: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            pending: (0..cfg.blocks).map(|_| AtomicI64::new(0)).collect(),
-            block_active: (0..cfg.blocks).map(|_| AtomicU32::new(0)).collect(),
-            tasks_per_block: (0..cfg.blocks).map(|_| AtomicU64::new(0)).collect(),
-            steals_intra: AtomicU64::new(0),
-            steals_inter: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            refills: AtomicU64::new(0),
-            cas_failures: AtomicU64::new(0),
-            edges: AtomicU64::new(0),
-            vertices: AtomicU64::new(0),
-            hot_hw: AtomicU64::new(1), // the seeded root
-            cold_hw: AtomicU64::new(0),
+            ledger: Ledger::seeded(cfg.blocks),
         };
 
-        // Seed the root into warp 0.
+        // Seed the root into warp 0 (the ledger already counts it).
         shared.visited[root as usize].store(1, Ordering::Release);
-        // relaxed-ok: stats counters seeded before the gang job starts
-        shared.vertices.store(1, Ordering::Relaxed);
-        shared.tasks_per_block[0].store(1, Ordering::Relaxed);
-        shared.live.store(1, Ordering::Release);
-        shared.pending[0].store(1, Ordering::Release);
         shared.warps[0]
             .hot
             .lock()
             .push((root, 0))
             .expect("fresh ring");
         shared.warps[0].hot_len.store(1, Ordering::Release);
-        shared.block_active[0].store(1, Ordering::Release);
 
         let start = Instant::now();
         let tc = TraceCtx { tracer, t0: start };
@@ -326,26 +288,7 @@ impl NativeEngine {
             },
         );
 
-        let completed = !shared.cancelled.load(Ordering::Acquire);
-        debug_assert!(!completed || shared.live.load(Ordering::SeqCst) == 0);
-        let mut stats = SimStats::new(cfg.blocks as usize);
-        // relaxed-ok: stats snapshot after gang::run returned; its
-        // completion wait is the synchronization point (also the next 10 loads)
-        stats.vertices_visited = shared.vertices.load(Ordering::Relaxed);
-        stats.edges_traversed = shared.edges.load(Ordering::Relaxed);
-        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.tasks_per_block = shared
-            .tasks_per_block
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after the gang's completion wait
-            .collect();
+        let (stats, completed) = shared.ledger.finish();
         stats.record_to(db_metrics::global(), "native");
         NativeResult {
             visited: shared
@@ -379,17 +322,16 @@ fn worker<T: Tracer>(
         SmallRng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut active = initially_active;
     let mut backoff = 0u32;
-    let mut tally = Tally::default();
+    let mut tally = Tally::new(b);
 
     loop {
-        if s.done.load(Ordering::Acquire) {
+        if s.ledger.is_done() {
             break;
         }
-        // Cooperative cancellation poll point: one poll per step.
+        // Cooperative cancellation poll point: one poll per work step.
         if let Some(p) = poller.as_mut() {
             if p.poll() {
-                s.cancelled.store(true, Ordering::Release);
-                s.done.store(true, Ordering::Release);
+                s.ledger.cancel();
                 break;
             }
         }
@@ -398,18 +340,16 @@ fn worker<T: Tracer>(
                 backoff = 0;
                 continue;
             }
-            // Out of local work: flip to idle.
+            // Out of local work: flip to idle and hand back credits.
             active = false;
-            s.block_active[b].fetch_sub(1, Ordering::AcqRel);
+            tally.go_idle(&s.ledger);
             tc.emit(b as u32, lane, EventKind::WarpIdle);
             continue;
         }
-        // Idle: merge hot counters early so other threads see progress,
-        // then try to steal.
         if steal_step(s, w, b, &mut rng, &mut tally, tc) {
             active = true;
             backoff = 0;
-            s.block_active[b].fetch_add(1, Ordering::AcqRel);
+            tally.wake(&s.ledger);
             continue;
         }
         backoff = (backoff + 1).min(16);
@@ -419,18 +359,12 @@ fn worker<T: Tracer>(
             std::thread::yield_now();
         }
     }
-
-    // Merge the warp's tally once. Each total is read only after the
-    // gang's completion wait, which orders these relaxed updates.
-    s.edges.fetch_add(tally.edges, Ordering::Relaxed); // relaxed-ok: stats
-    s.vertices.fetch_add(tally.vertices, Ordering::Relaxed); // relaxed-ok: stats
-    s.tasks_per_block[b].fetch_add(tally.tasks, Ordering::Relaxed); // relaxed-ok: stats
-    s.hot_hw.fetch_max(tally.hot_hw, Ordering::Relaxed); // relaxed-ok: stats
-    s.cold_hw.fetch_max(tally.cold_hw, Ordering::Relaxed); // relaxed-ok: stats
+    tally.exit(&s.ledger);
 }
 
-/// One unit of DFS progress for an active warp. Returns false when the
-/// warp has no local work left (hot and cold both empty).
+/// Up to [`STEPS_PER_LOCK`] units of DFS progress under one acquisition
+/// of the warp's HotRing. Returns false when the warp had no local work
+/// left (hot and cold both empty).
 fn work_step<T: Tracer>(
     s: &Shared<'_>,
     w: u32,
@@ -438,9 +372,31 @@ fn work_step<T: Tracer>(
     tally: &mut Tally,
     tc: &TraceCtx<'_, T>,
 ) -> bool {
-    let lane = w % s.cfg.warps_per_block;
     let ws = &s.warps[w as usize];
     let mut hot = ws.hot.lock();
+    let mut progressed = false;
+    for _ in 0..STEPS_PER_LOCK {
+        if !owner_step(s, ws, &mut hot, w, b, tally, tc) {
+            break;
+        }
+        progressed = true;
+    }
+    ws.hot_len.store(hot.len(), Ordering::Release);
+    progressed
+}
+
+/// One owner step on the locked HotRing: refill, retire or expand.
+/// Returns false when hot and cold are both empty.
+fn owner_step<T: Tracer>(
+    s: &Shared<'_>,
+    ws: &WarpShared,
+    hot: &mut HotRing,
+    w: u32,
+    b: usize,
+    tally: &mut Tally,
+    tc: &TraceCtx<'_, T>,
+) -> bool {
+    let lane = w % s.cfg.warps_per_block;
     if hot.is_empty() {
         // Refill from own ColdSeg (Figure 2(f)).
         let mut cold = ws.cold.lock();
@@ -451,9 +407,8 @@ fn work_step<T: Tracer>(
         ws.cold_len.store(cold.len(), Ordering::Release);
         drop(cold);
         hot.push_batch(&batch);
-        ws.hot_len.store(hot.len(), Ordering::Release);
         tally.hot_hw = tally.hot_hw.max(hot.len());
-        s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.refills += 1;
         tc.emit(
             b as u32,
             lane,
@@ -467,20 +422,6 @@ fn work_step<T: Tracer>(
     let (u, off) = hot.top().expect("nonempty");
     let row = s.g.neighbors(u);
     let deg = row.len() as u32;
-    if off >= deg {
-        hot.pop();
-        ws.hot_len.store(hot.len(), Ordering::Release);
-        drop(hot);
-        tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
-        // relaxed-ok: pending is an advisory load estimate read only by
-        // two-choice victim selection; nothing is published under it
-        s.pending[b].fetch_sub(1, Ordering::Relaxed);
-        if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // This thread consumed the last live entry: traversal done.
-            s.done.store(true, Ordering::Release);
-        }
-        return true;
-    }
 
     // Scan u's remaining neighbors for a vertex we can claim.
     let mut i = off;
@@ -497,56 +438,39 @@ fn work_step<T: Tracer>(
             child = Some((v, 0));
             break;
         }
-        s.cas_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.cas_failures += 1;
     }
     tally.edges += (i - off) as u64;
-    match child {
-        Some((v, _)) => {
-            tally.vertices += 1;
-            tally.tasks += 1;
-            // Count the new entry BEFORE it becomes visible: a thief may
-            // consume the child instantly, and the live counter must
-            // never under-count while the parent continuation exists.
-            s.live.fetch_add(1, Ordering::AcqRel);
-            // relaxed-ok: advisory victim-selection estimate (see above)
-            s.pending[b].fetch_add(1, Ordering::Relaxed);
-            hot.update_top((u, i));
-            if hot.is_full() {
-                // Flush the oldest entries to the ColdSeg (Figure 2(e)).
-                let batch = hot.take_from_tail(s.cfg.flush_batch as u64);
-                let mut cold = ws.cold.lock();
-                cold.push_top(&batch);
-                ws.cold_len.store(cold.len(), Ordering::Release);
-                tally.cold_hw = tally.cold_hw.max(cold.len());
-                drop(cold);
-                s.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-                tc.emit(
-                    b as u32,
-                    lane,
-                    EventKind::Flush {
-                        entries: batch.len() as u32,
-                    },
-                );
-            }
-            hot.push((v, 0)).expect("flush guarantees space");
-            ws.hot_len.store(hot.len(), Ordering::Release);
-            tally.hot_hw = tally.hot_hw.max(hot.len());
-            drop(hot);
-            tc.emit(b as u32, lane, EventKind::Push { vertex: v });
-        }
-        None => {
-            // Row exhausted without a claim: the entry dies.
-            hot.pop();
-            ws.hot_len.store(hot.len(), Ordering::Release);
-            drop(hot);
-            tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
-            // relaxed-ok: advisory victim-selection estimate (see above)
-            s.pending[b].fetch_sub(1, Ordering::Relaxed);
-            if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                s.done.store(true, Ordering::Release);
-            }
-        }
+    let Some((v, _)) = child else {
+        // Row exhausted without a claim: the entry dies.
+        hot.pop();
+        tally.retire(&s.ledger);
+        tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
+        return true;
+    };
+    // Credit the new entry before any thief can see it.
+    tally.push_child(&s.ledger);
+    hot.update_top((u, i));
+    if hot.is_full() {
+        // Flush the oldest entries to the ColdSeg (Figure 2(e)).
+        let batch = hot.take_from_tail(s.cfg.flush_batch as u64);
+        let mut cold = ws.cold.lock();
+        cold.push_top(&batch);
+        ws.cold_len.store(cold.len(), Ordering::Release);
+        tally.cold_hw = tally.cold_hw.max(cold.len());
+        drop(cold);
+        tally.flushes += 1;
+        tc.emit(
+            b as u32,
+            lane,
+            EventKind::Flush {
+                entries: batch.len() as u32,
+            },
+        );
     }
+    hot.push((v, 0)).expect("flush guarantees space");
+    tally.hot_hw = tally.hot_hw.max(hot.len());
+    tc.emit(b as u32, lane, EventKind::Push { vertex: v });
     true
 }
 
@@ -580,26 +504,27 @@ fn steal_step<T: Tracer>(
     if let Some(v) = victim {
         if max_rest >= cfg.hot_cutoff as u64 {
             let vs = &s.warps[v as usize];
-            let mut vhot = vs.hot.lock();
-            // Re-validate under the lock (the atomicCAS of Alg. 3).
-            if vhot.len() >= cfg.hot_cutoff as u64 {
-                let batch = vhot.take_from_tail(cfg.hot_steal_batch() as u64);
-                vs.hot_len.store(vhot.len(), Ordering::Release);
-                drop(vhot);
-                deposit(s, w, &batch, tally);
-                s.steals_intra.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-                tc.emit(
-                    b as u32,
-                    lane,
-                    EventKind::StealIntra {
-                        victim_warp: v % wpb,
-                        entries: batch.len() as u32,
-                    },
-                );
-                return true;
+            // A held lock is a lost race, as a failed atomicCAS is in
+            // Alg. 3; re-validate the length under the lock.
+            if let Some(mut vhot) = vs.hot.try_lock() {
+                if vhot.len() >= cfg.hot_cutoff as u64 {
+                    let batch = vhot.take_from_tail(cfg.hot_steal_batch() as u64);
+                    vs.hot_len.store(vhot.len(), Ordering::Release);
+                    drop(vhot);
+                    deposit(s, w, &batch, tally);
+                    tally.steals_intra += 1;
+                    tc.emit(
+                        b as u32,
+                        lane,
+                        EventKind::StealIntra {
+                            victim_warp: v % wpb,
+                            entries: batch.len() as u32,
+                        },
+                    );
+                    return true;
+                }
             }
-            drop(vhot);
-            s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+            tally.steal_failures += 1;
             tc.emit(b as u32, lane, EventKind::StealFail { victim: v % wpb });
         }
     }
@@ -608,7 +533,7 @@ fn steal_step<T: Tracer>(
     if !cfg.inter_block || cfg.blocks <= 1 || w != first {
         return false;
     }
-    if s.block_active[b].load(Ordering::Acquire) != 0 {
+    if !s.ledger.block_idle(b) {
         return false;
     }
     let candidate = select_victim_block(s, b as u32, rng);
@@ -630,20 +555,16 @@ fn steal_step<T: Tracer>(
     let mut vcold = vs.cold.lock();
     if vcold.len() < cfg.cold_cutoff as u64 {
         drop(vcold);
-        s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.steal_failures += 1;
         tc.emit(b as u32, lane, EventKind::StealFail { victim: vb });
         return false;
     }
     let batch = vcold.take_from_bottom(cfg.cold_steal_batch() as u64);
     vs.cold_len.store(vcold.len(), Ordering::Release);
     drop(vcold);
-    let k = batch.len() as i64;
-    // relaxed-ok: advisory victim-selection estimates; a stale value only
-    // costs one misdirected steal probe
-    s.pending[vb as usize].fetch_sub(k, Ordering::Relaxed);
-    s.pending[b].fetch_add(k, Ordering::Relaxed);
+    tally.took_from_block(&s.ledger, vb as usize, batch.len() as i64);
     deposit(s, w, &batch, tally);
-    s.steals_inter.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+    tally.steals_inter += 1;
     tc.emit(
         b as u32,
         lane,
@@ -673,11 +594,10 @@ fn select_victim_block(s: &Shared<'_>, my_block: u32, rng: &mut SmallRng) -> Opt
             let mut found = 0;
             for _ in 0..8 {
                 let c = rng.gen_range(0..nb);
-                if c == my_block || s.block_active[c as usize].load(Ordering::Acquire) == 0 {
+                if c == my_block || s.ledger.block_idle(c as usize) {
                     continue;
                 }
-                // relaxed-ok: advisory estimate; staleness is tolerated
-                let load = s.pending[c as usize].load(Ordering::Relaxed);
+                let load = s.ledger.pending(c as usize);
                 if best.is_none_or(|(bl, _)| load > bl) {
                     best = Some((load, c));
                 }

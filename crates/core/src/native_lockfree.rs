@@ -9,22 +9,25 @@
 //! steals are rare by design — that is what `cold_cutoff` is for).
 //!
 //! The owner uses pop-process-push instead of in-place `updateTop`
-//! (see the protocol note in [`crate::lockfree`]); entry liveness
-//! accounting is unchanged: an entry in the owner's hand is still live,
-//! and `live == 0` terminates.
+//! (see the protocol note in [`crate::lockfree`]). Termination uses the
+//! same credits as the locked engine (`crate::ledger`): `live` counts
+//! every entry, including the one in the owner's hand, plus the credits
+//! warps hold privately; a warp takes credits in batches, retiring an
+//! entry refunds its credit to the warp's reserve, an idle warp returns
+//! its reserve, and the return that drains `live` terminates.
 
 use crate::cancel::CancelToken;
 use crate::config::DiggerBeesConfig;
+use crate::ledger::{Ledger, Line, Tally};
 use crate::lockfree::StampedRing;
-use crate::native::{NativeResult, Tally, TraceCtx};
+use crate::native::{NativeResult, TraceCtx};
 use crate::stack::{ColdSeg, Entry};
-use db_gpu_sim::SimStats;
 use db_graph::{CsrGraph, VertexId, NO_PARENT};
 use db_trace::{EventKind, NullTracer, PhaseKind, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 struct WarpShared {
@@ -38,23 +41,10 @@ struct Shared<'g> {
     cfg: DiggerBeesConfig,
     visited: Vec<AtomicU8>,
     parent: Vec<AtomicU32>,
-    warps: Vec<WarpShared>,
-    live: AtomicI64,
-    done: AtomicBool,
-    cancelled: AtomicBool,
-    pending: Vec<AtomicI64>,
-    block_active: Vec<AtomicU32>,
-    tasks_per_block: Vec<AtomicU64>,
-    steals_intra: AtomicU64,
-    steals_inter: AtomicU64,
-    steal_failures: AtomicU64,
-    flushes: AtomicU64,
-    refills: AtomicU64,
-    cas_failures: AtomicU64,
-    edges: AtomicU64,
-    vertices: AtomicU64,
-    hot_hw: AtomicU64,
-    cold_hw: AtomicU64,
+    /// One line per warp, so an owner's ring traffic stays off its
+    /// neighbours' lines.
+    warps: Vec<Line<WarpShared>>,
+    ledger: Ledger,
 }
 
 /// Lock-free-HotRing DiggerBees engine (same API as
@@ -114,7 +104,7 @@ impl LockFreeEngine {
         self.run_inner(g, root, tracer, None)
     }
 
-    fn run_inner<T: Tracer>(
+    pub(crate) fn run_inner<T: Tracer>(
         &self,
         g: &CsrGraph,
         root: VertexId,
@@ -134,38 +124,20 @@ impl LockFreeEngine {
             visited: (0..n).map(|_| AtomicU8::new(0)).collect(),
             parent: (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect(),
             warps: (0..nw)
-                .map(|_| WarpShared {
-                    hot: StampedRing::new(cfg.hot_size),
-                    cold: Mutex::new(ColdSeg::new(cold_cap)),
-                    cold_len: AtomicU64::new(0),
+                .map(|_| {
+                    Line(WarpShared {
+                        hot: StampedRing::new(cfg.hot_size),
+                        cold: Mutex::new(ColdSeg::new(cold_cap)),
+                        cold_len: AtomicU64::new(0),
+                    })
                 })
                 .collect(),
-            live: AtomicI64::new(0),
-            done: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            pending: (0..cfg.blocks).map(|_| AtomicI64::new(0)).collect(),
-            block_active: (0..cfg.blocks).map(|_| AtomicU32::new(0)).collect(),
-            tasks_per_block: (0..cfg.blocks).map(|_| AtomicU64::new(0)).collect(),
-            steals_intra: AtomicU64::new(0),
-            steals_inter: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            refills: AtomicU64::new(0),
-            cas_failures: AtomicU64::new(0),
-            edges: AtomicU64::new(0),
-            vertices: AtomicU64::new(0),
-            hot_hw: AtomicU64::new(1), // the seeded root
-            cold_hw: AtomicU64::new(0),
+            ledger: Ledger::seeded(cfg.blocks),
         };
 
+        // Seed the root into warp 0 (the ledger already counts it).
         shared.visited[root as usize].store(1, Ordering::Release);
-        // relaxed-ok: stats counters seeded before the gang job starts
-        shared.vertices.store(1, Ordering::Relaxed);
-        shared.tasks_per_block[0].store(1, Ordering::Relaxed);
-        shared.live.store(1, Ordering::Release);
-        shared.pending[0].store(1, Ordering::Release);
         shared.warps[0].hot.push((root, 0)).expect("fresh ring");
-        shared.block_active[0].store(1, Ordering::Release);
 
         let start = Instant::now();
         let tc = TraceCtx { tracer, t0: start };
@@ -195,23 +167,7 @@ impl LockFreeEngine {
             },
         );
 
-        let mut stats = SimStats::new(cfg.blocks as usize);
-        // relaxed-ok: stats snapshot; gang::run's completion wait synchronizes
-        stats.vertices_visited = shared.vertices.load(Ordering::Relaxed);
-        stats.edges_traversed = shared.edges.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.steals_intra = shared.steals_intra.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.steals_inter = shared.steals_inter.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.steal_failures = shared.steal_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.flushes = shared.flushes.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.refills = shared.refills.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.visited_cas_failures = shared.cas_failures.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.hot_high_water = shared.hot_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.cold_high_water = shared.cold_hw.load(Ordering::Relaxed); // relaxed-ok: after the gang's completion wait
-        stats.tasks_per_block = shared
-            .tasks_per_block
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed)) // relaxed-ok: after the gang's completion wait
-            .collect();
+        let (stats, completed) = shared.ledger.finish();
         stats.record_to(db_metrics::global(), "lockfree");
         NativeResult {
             visited: shared
@@ -226,7 +182,7 @@ impl LockFreeEngine {
                 .collect(),
             stats,
             wall,
-            completed: !shared.cancelled.load(Ordering::Acquire),
+            completed,
         }
     }
 }
@@ -245,17 +201,16 @@ fn worker<T: Tracer>(
         SmallRng::seed_from_u64(cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut active = initially_active;
     let mut backoff = 0u32;
-    let mut tally = Tally::default();
+    let mut tally = Tally::new(b);
 
     loop {
-        if s.done.load(Ordering::Acquire) {
+        if s.ledger.is_done() {
             break;
         }
         // Cooperative cancellation poll point: one poll per step.
         if let Some(p) = poller.as_mut() {
             if p.poll() {
-                s.cancelled.store(true, Ordering::Release);
-                s.done.store(true, Ordering::Release);
+                s.ledger.cancel();
                 break;
             }
         }
@@ -265,14 +220,14 @@ fn worker<T: Tracer>(
                 continue;
             }
             active = false;
-            s.block_active[b].fetch_sub(1, Ordering::AcqRel);
+            tally.go_idle(&s.ledger);
             tc.emit(b as u32, lane, EventKind::WarpIdle);
             continue;
         }
         if steal_step(s, w, b, &mut rng, &mut tally, tc) {
             active = true;
             backoff = 0;
-            s.block_active[b].fetch_add(1, Ordering::AcqRel);
+            tally.wake(&s.ledger);
             continue;
         }
         backoff = (backoff + 1).min(16);
@@ -282,13 +237,7 @@ fn worker<T: Tracer>(
             std::thread::yield_now();
         }
     }
-    // Merge the warp's tally once. Each total is read only after the
-    // gang's completion wait, which orders these relaxed updates.
-    s.edges.fetch_add(tally.edges, Ordering::Relaxed); // relaxed-ok: stats
-    s.vertices.fetch_add(tally.vertices, Ordering::Relaxed); // relaxed-ok: stats
-    s.tasks_per_block[b].fetch_add(tally.tasks, Ordering::Relaxed); // relaxed-ok: stats
-    s.hot_hw.fetch_max(tally.hot_hw, Ordering::Relaxed); // relaxed-ok: stats
-    s.cold_hw.fetch_max(tally.cold_hw, Ordering::Relaxed); // relaxed-ok: stats
+    tally.exit(&s.ledger);
 }
 
 /// One pop-process-push step. Returns false when out of local work.
@@ -315,7 +264,7 @@ fn work_step<T: Tracer>(
             ws.hot.push(e).expect("refill fits an empty ring");
         }
         tally.hot_hw = tally.hot_hw.max(ws.hot.len() as u64);
-        s.refills.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.refills += 1;
         tc.emit(b as u32, lane, EventKind::Refill { entries });
         return true;
     };
@@ -341,32 +290,21 @@ fn work_step<T: Tracer>(
             child = Some((v, 0));
             break;
         }
-        s.cas_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.cas_failures += 1;
     }
     tally.edges += (i - off) as u64;
     match child {
         Some((v, _)) => {
-            tally.vertices += 1;
-            tally.tasks += 1;
-            // Count the new entry BEFORE publishing it (a thief may
-            // consume the child instantly; the live counter must never
-            // under-count while the parent continuation exists).
-            s.live.fetch_add(1, Ordering::AcqRel);
-            // relaxed-ok: pending is an advisory load estimate read only by
-            // two-choice victim selection; nothing is published under it
-            s.pending[b].fetch_add(1, Ordering::Relaxed);
+            // Credit the new entry BEFORE publishing it.
+            tally.push_child(&s.ledger);
             // Push the continuation then the child (child on top).
             push_with_flush(s, w, (u, i), tally, tc);
             push_with_flush(s, w, (v, 0), tally, tc);
             tc.emit(b as u32, lane, EventKind::Push { vertex: v });
         }
         None => {
+            tally.retire(&s.ledger);
             tc.emit(b as u32, lane, EventKind::Pop { vertex: u });
-            // relaxed-ok: advisory victim-selection estimate (see above)
-            s.pending[b].fetch_sub(1, Ordering::Relaxed);
-            if s.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                s.done.store(true, Ordering::Release);
-            }
         }
     }
     true
@@ -401,7 +339,7 @@ fn push_with_flush<T: Tracer>(
                 ws.cold_len.store(cold.len(), Ordering::Release);
                 tally.cold_hw = tally.cold_hw.max(cold.len());
                 drop(cold);
-                s.flushes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+                tally.flushes += 1;
                 tc.emit(
                     w / s.cfg.warps_per_block,
                     w % s.cfg.warps_per_block,
@@ -447,14 +385,14 @@ fn steal_step<T: Tracer>(
                     .hot
                     .take_from_tail(cfg.hot_steal_batch(), cfg.hot_cutoff, 2);
             if batch.is_empty() {
-                s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+                tally.steal_failures += 1;
                 tc.emit(b as u32, lane, EventKind::StealFail { victim: v % wpb });
             } else {
                 let entries = batch.len() as u32;
                 for e in batch {
                     push_with_flush(s, w, e, tally, tc);
                 }
-                s.steals_intra.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+                tally.steals_intra += 1;
                 tc.emit(
                     b as u32,
                     lane,
@@ -472,7 +410,7 @@ fn steal_step<T: Tracer>(
     if !cfg.inter_block || cfg.blocks <= 1 || w != first {
         return false;
     }
-    if s.block_active[b].load(Ordering::Acquire) != 0 {
+    if !s.ledger.block_idle(b) {
         return false;
     }
     let vb = match cfg.victim_policy {
@@ -488,11 +426,10 @@ fn steal_step<T: Tracer>(
             let mut found = 0;
             for _ in 0..8 {
                 let c = rng.gen_range(0..cfg.blocks);
-                if c == b as u32 || s.block_active[c as usize].load(Ordering::Acquire) == 0 {
+                if c == b as u32 || s.ledger.block_idle(c as usize) {
                     continue;
                 }
-                // relaxed-ok: advisory estimate; staleness is tolerated
-                let load = s.pending[c as usize].load(Ordering::Relaxed);
+                let load = s.ledger.pending(c as usize);
                 if best.is_none_or(|(bl, _)| load > bl) {
                     best = Some((load, c));
                 }
@@ -523,23 +460,19 @@ fn steal_step<T: Tracer>(
     let mut vcold = vs.cold.lock();
     if vcold.len() < cfg.cold_cutoff as u64 {
         drop(vcold);
-        s.steal_failures.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+        tally.steal_failures += 1;
         tc.emit(b as u32, lane, EventKind::StealFail { victim: vb });
         return false;
     }
     let batch = vcold.take_from_bottom(cfg.cold_steal_batch() as u64);
     vs.cold_len.store(vcold.len(), Ordering::Release);
     drop(vcold);
-    let k = batch.len() as i64;
-    // relaxed-ok: advisory victim-selection estimates; a stale value only
-    // costs one misdirected steal probe
-    s.pending[vb as usize].fetch_sub(k, Ordering::Relaxed);
-    s.pending[b].fetch_add(k, Ordering::Relaxed);
+    tally.took_from_block(&s.ledger, vb as usize, batch.len() as i64);
     let entries = batch.len() as u32;
     for e in batch {
         push_with_flush(s, w, e, tally, tc);
     }
-    s.steals_inter.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
+    tally.steals_inter += 1;
     tc.emit(
         b as u32,
         lane,

@@ -322,8 +322,9 @@ macro_rules! __proptest_fns {
      fn $name:ident($($pat:pat_param in $strat:expr),* $(,)?) $body:block
      $($rest:tt)*
     ) => {
+        // The caller's attributes carry the `#[test]`, as with the real
+        // crate; adding another here would register every property twice.
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             let mut runner = $crate::TestRunner::new(config, stringify!($name));
@@ -425,6 +426,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
         /// Ranges stay in bounds; assume and multi-arg parsing work.
+        #[test]
         fn ranges_and_assume(x in 1u32..10, y in 0u64..100, f in 0.25f64..0.75) {
             prop_assume!(x != 3);
             prop_assert!((1..10).contains(&x));
@@ -433,6 +435,7 @@ mod tests {
         }
 
         /// Tuple patterns and flat-mapped strategies.
+        #[test]
         fn tuple_pattern((n, v) in (2u32..9).prop_flat_map(|n| {
             crate::collection::vec(0u32..n, 1..20).prop_map(move |v| (n, v))
         })) {
@@ -442,6 +445,7 @@ mod tests {
             }
         }
 
+        #[test]
         fn any_values(v in crate::collection::vec(crate::any::<u32>(), 1..8)) {
             prop_assert!((1..8).contains(&v.len()));
         }
